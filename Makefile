@@ -1,13 +1,15 @@
 # Development targets. `make tier1` is the PR gate: build + vet + the
-# repo's own static analyzers (cmd/darwinlint) + full test suite. `make race`
+# repo's own static analyzers (cmd/darwinlint) + full test suite, plus a
+# build and vet of the perfbench module (its own go.mod, so the root
+# `./...` skips it, yet it compiles against internal/server). `make race`
 # adds the race detector on the concurrency-heavy packages and `make fuzz`
 # runs short fuzzing sessions over the parsing and hashing seams.
 
 GO ?= go
 
-.PHONY: tier1 vet build test lint lint-audit race fuzz bench microbench profile chaos chaos-crash chaos-cluster chaos-flap
+.PHONY: tier1 vet build test perfbench-build perfbench-test lint lint-audit race fuzz bench microbench profile chaos chaos-crash chaos-cluster chaos-flap
 
-tier1: build vet lint test
+tier1: build vet lint test perfbench-build
 
 vet:
 	$(GO) vet ./...
@@ -17,6 +19,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+perfbench-build:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # lint runs the project's own stdlib-only static-analysis suite: determinism,
 # hot-path allocation, locking, error-hygiene, context-propagation, lock-order,

@@ -680,11 +680,12 @@ func bestOf(arms []func() (ProxyBench, error)) ([]ProxyBench, error) {
 	return best, nil
 }
 
-// benchProxyOnce measures end-to-end proxy throughput for a static-expert
-// decider over a cache engine with the given shard count: shards=1 is the
-// legacy global-lock data plane (a single-shard engine serializes exactly
-// like the old proxy mutex), shards=N stripes the object space. Latencies
-// are zeroed so lock contention — not injected delay — bounds throughput.
+// benchProxyOnce measures end-to-end proxy throughput of the stage-off data
+// plane for a static-expert decider over a cache engine with the given shard
+// count: shards=1 is the legacy global-lock arrangement (a single-shard
+// engine serializes exactly like the old proxy mutex), shards=N stripes the
+// object space. Latencies are zeroed so lock contention — not injected
+// delay — bounds throughput.
 // Every call builds a fresh proxy and cache; repetition is bestOf's job.
 func benchProxyOnce(shards, concurrency int) (ProxyBench, error) {
 	tr, err := exp.SyntheticMix(50, 30_000, 11)
@@ -705,7 +706,7 @@ func benchProxyOnce(shards, concurrency int) (ProxyBench, error) {
 	origin := &server.Origin{}
 	originSrv := httptest.NewServer(origin)
 	defer originSrv.Close()
-	proxy := server.NewProxy(dec, originSrv.URL, 0)
+	proxy := server.NewOverloadProxy(dec, originSrv.URL, 0, server.Resilience{}, server.Overload{})
 	proxySrv := httptest.NewServer(proxy)
 	defer proxySrv.Close()
 	res, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
@@ -848,7 +849,7 @@ func benchClusterOnce(nodes, shards, concurrency int) (ProxyBench, error) {
 		if sh, ok := dec.Engine().(*cache.Sharded); ok {
 			sh.SetPublishEvery(32)
 		}
-		proxies[i] = server.NewResilientProxy(dec, originSrv.URL, 0, server.DefaultResilience())
+		proxies[i] = server.NewOverloadProxy(dec, originSrv.URL, 0, server.DefaultResilience(), server.Overload{})
 		srv := httptest.NewServer(proxies[i])
 		defer srv.Close()
 		urls[i] = srv.URL

@@ -53,7 +53,6 @@ func main() {
 		segBytes   = flag.Int64("segment-bytes", 16<<20, "journal segment size before rotation (bytes)")
 		ckptEvery  = flag.Duration("checkpoint-interval", 30*time.Second, "learned-state checkpoint period (0 = checkpoint only at shutdown)")
 
-		resilient    = flag.Bool("resilient", true, "enable the fault-tolerance layer (retries, coalescing, serve-stale)")
 		retries      = flag.Int("retries", 4, "total origin fetch attempts per miss (1 = no retry)")
 		fetchTimeout = flag.Duration("fetch-timeout", 2*time.Second, "per-attempt origin fetch deadline")
 		backoff      = flag.Duration("backoff", 5*time.Millisecond, "base retry backoff (doubles per retry, jittered)")
@@ -70,7 +69,6 @@ func main() {
 		gossipOn    = flag.Bool("gossip", true, "SWIM-style membership: piggyback heartbeat digests on peer probes and serve /gossip")
 		handoffOn   = flag.Bool("handoff", true, "serve /state and push learned state to the ring successor on drain")
 
-		overload       = flag.Bool("overload", true, "enable the overload-protection layer (breaker, admission, deadlines, hedging)")
 		maxInflight    = flag.Int64("max-inflight", 512, "admission control: max concurrently admitted requests (0 = unlimited)")
 		propagateDL    = flag.Bool("propagate-deadline", true, "honor the client X-Darwin-Deadline-Ms header")
 		minFetchBudget = flag.Duration("min-fetch-budget", 50*time.Millisecond, "shed misses whose remaining deadline is below this floor")
@@ -171,7 +169,6 @@ func main() {
 	shEng.SetPublishEvery(*pubEvery)
 
 	res := server.Resilience{
-		Enabled:      *resilient,
 		MaxAttempts:  *retries,
 		FetchTimeout: *fetchTimeout,
 		BackoffBase:  *backoff,
@@ -181,8 +178,7 @@ func main() {
 		Seed:         1,
 	}
 	ov := server.Overload{
-		Enabled: *overload,
-		Breaker: breaker.Config{
+		Breaker: &breaker.Config{
 			Window:           *brkWindow,
 			FailureThreshold: *brkThreshold,
 			MinRequests:      *brkMinRequests,
@@ -293,7 +289,7 @@ func main() {
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       60 * time.Second,
 	}
-	fmt.Fprintf(os.Stderr, "darwin-proxy: %s mode, listening on %s, origin %s (shards=%d, resilient=%v, overload=%v)\n", *mode, *addr, *origin, *shards, *resilient, *overload)
+	fmt.Fprintf(os.Stderr, "darwin-proxy: %s mode, listening on %s, origin %s (shards=%d)\n", *mode, *addr, *origin, *shards)
 	if err := runServer(srv, *drain, *lameDuck, health); err != nil {
 		fatal(err)
 	}

@@ -247,12 +247,6 @@ var ImageDownloadMix = tracegen.ImageDownloadMix
 // (consistent hashing with bounded loads and periodic re-evaluation).
 type LoadBalancerConfig = lb.Config
 
-// LoadBalancer routes requests to server indices.
-type LoadBalancer = lb.Balancer
-
-// NewLoadBalancer builds a cluster balancer.
-var NewLoadBalancer = lb.New
-
 // SplitTrace routes a global trace through a load balancer and returns each
 // server's sub-trace — the mechanism that imposes per-server traffic-mix
 // shifts.
@@ -264,8 +258,15 @@ type Origin = server.Origin
 // Proxy is the prototype's CDN caching proxy.
 type Proxy = server.Proxy
 
-// NewProxy builds a proxy around a cache decider.
-var NewProxy = server.NewProxy
+// ProxyResilience configures the proxy's fault-tolerance stages.
+type ProxyResilience = server.Resilience
+
+// ProxyOverload configures the proxy's overload-protection stages.
+type ProxyOverload = server.Overload
+
+// NewOverloadProxy builds a proxy around a cache decider; the zero
+// ProxyResilience and ProxyOverload switch every optional stage off.
+var NewOverloadProxy = server.NewOverloadProxy
 
 // LoadConfig configures the prototype load generator.
 type LoadConfig = server.LoadConfig

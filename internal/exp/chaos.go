@@ -1,16 +1,13 @@
 package exp
 
 import (
-	"context"
 	"fmt"
-	"net/http/httptest"
 	"time"
 
 	"darwin/internal/baselines"
 	"darwin/internal/cache"
 	"darwin/internal/faults"
 	"darwin/internal/server"
-	"darwin/internal/trace"
 )
 
 // ChaosConfig sizes the fault-injection experiment: a trace replayed through
@@ -24,7 +21,7 @@ type ChaosConfig struct {
 	// Faults is the origin fault schedule (rates + outage windows).
 	Faults faults.Config
 	// Resilience is the hardened proxy's configuration; the control row
-	// always runs with the zero (legacy) Resilience.
+	// always runs with the zero Resilience (every fault-tolerance stage off).
 	Resilience server.Resilience
 	// Expert and Eval fix the static decider driving both rows, so the two
 	// arms differ only in the data plane.
@@ -61,39 +58,9 @@ func DefaultChaosConfig() ChaosConfig {
 	}
 }
 
-// chaosRun replays the trace through a fresh origin+injector+proxy stack and
-// returns the client-side result plus the proxy/injector counters.
-func chaosRun(cc ChaosConfig, res server.Resilience, tr *trace.Trace) (server.LoadResult, server.ProxyStats, faults.Stats, error) {
-	dec, err := baselines.NewStaticSharded(cc.Expert, cc.Eval, cc.Prototype.shards())
-	if err != nil {
-		return server.LoadResult{}, server.ProxyStats{}, faults.Stats{}, err
-	}
-	origin := &server.Origin{Latency: cc.Prototype.OriginLatency}
-	injector := faults.New(cc.Faults)
-	originSrv := httptest.NewServer(injector.Wrap(origin))
-	defer originSrv.Close()
-	proxy := server.NewResilientProxy(dec, originSrv.URL, cc.Prototype.DCLatency, res)
-	proxySrv := httptest.NewServer(proxy)
-	defer proxySrv.Close()
-
-	// The chaos experiment exercises the real HTTP prototype, not the
-	// simulator: outage windows are anchored to the physical clock of the
-	// live origin server, which is exactly the wall-clock boundary the
-	// determinism rule carves out for internal/server.
-	//lint:ignore determinism prototype testbed runs on the physical clock; simulator replays never reach this path
-	injector.Restart(time.Now()) // align outage windows with the replay
-	lr, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
-		ProxyURL:       proxySrv.URL,
-		Concurrency:    cc.Prototype.Concurrency,
-		ClientLatency:  cc.Prototype.ClientLatency,
-		RequestTimeout: 30 * time.Second,
-	})
-	return lr, proxy.Stats(), injector.Stats(), err
-}
-
 // ChaosReport runs the chaos experiment twice under an identical fault
-// schedule — once with the legacy happy-path proxy (the pre-hardening
-// control) and once with the resilience layer — and tabulates client-visible
+// schedule — once with every fault-tolerance stage off (the control) and
+// once with the resilience stages on — and tabulates client-visible
 // error rate, error classes, degraded serves, OHR, and p99 first-byte
 // latency. The hardened row should keep the client error rate well under the
 // injected fault rate: retries absorb transient errors, coalescing shrinks
@@ -117,10 +84,19 @@ func ChaosReport(cc ChaosConfig) (*Report, error) {
 	}
 	var injected float64
 	for _, arm := range arms {
-		lr, ps, fs, err := chaosRun(cc, arm.res, tr)
+		dec, err := baselines.NewStaticSharded(cc.Expert, cc.Eval, cc.Prototype.shards())
 		if err != nil {
 			return nil, err
 		}
+		run, err := runTestbed(dec, cc.Prototype, &cc.Faults, arm.res, server.Overload{}, tr, server.LoadConfig{
+			Concurrency:    cc.Prototype.Concurrency,
+			ClientLatency:  cc.Prototype.ClientLatency,
+			RequestTimeout: 30 * time.Second,
+		})
+		if err != nil {
+			return nil, err
+		}
+		lr, ps, fs := run.load, run.stats, run.faults
 		ohr := 0.0
 		if lr.Requests > 0 {
 			ohr = float64(lr.HOCHits) / float64(lr.Requests)

@@ -1,17 +1,13 @@
 package exp
 
 import (
-	"context"
 	"fmt"
-	"net/http/httptest"
 	"time"
 
 	"darwin/internal/baselines"
-	"darwin/internal/breaker"
 	"darwin/internal/cache"
 	"darwin/internal/faults"
 	"darwin/internal/server"
-	"darwin/internal/trace"
 )
 
 // OverloadConfig sizes the overload chaos experiment: a flash-crowd arrival
@@ -81,39 +77,6 @@ func DefaultOverloadConfig() OverloadConfig {
 	}
 }
 
-// overloadRun replays the flash-crowd trace through a fresh
-// origin+injector+proxy stack and returns the client-side result plus the
-// proxy counters and the breaker snapshot (zero for the retry-only arm).
-func overloadRun(oc OverloadConfig, ov server.Overload, tr *trace.Trace) (server.LoadResult, server.ProxyStats, breaker.Snapshot, error) {
-	dec, err := baselines.NewStaticSharded(oc.Expert, oc.Eval, oc.Prototype.shards())
-	if err != nil {
-		return server.LoadResult{}, server.ProxyStats{}, breaker.Snapshot{}, err
-	}
-	origin := &server.Origin{Latency: oc.Prototype.OriginLatency}
-	injector := faults.New(oc.Faults)
-	originSrv := httptest.NewServer(injector.Wrap(origin))
-	defer originSrv.Close()
-	proxy := server.NewOverloadProxy(dec, originSrv.URL, oc.Prototype.DCLatency, oc.Resilience, ov)
-	proxySrv := httptest.NewServer(proxy)
-	defer proxySrv.Close()
-
-	// Like the chaos experiment, outage windows anchor to the physical clock
-	// of the live origin server — the wall-clock boundary the determinism
-	// rule carves out for internal/server.
-	//lint:ignore determinism prototype testbed runs on the physical clock; simulator replays never reach this path
-	injector.Restart(time.Now()) // align the brownout windows with the replay
-	lr, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
-		ProxyURL:       proxySrv.URL,
-		Concurrency:    oc.Prototype.Concurrency,
-		ClientLatency:  oc.Prototype.ClientLatency,
-		RequestTimeout: 30 * time.Second,
-		Deadline:       oc.Deadline,
-		Burst:          &oc.Burst,
-	})
-	snap, _ := proxy.BreakerSnapshot()
-	return lr, proxy.Stats(), snap, err
-}
-
 // OverloadReport runs the flash-crowd brownout twice under an identical
 // fault and arrival schedule — once with the PR 1 retry-only proxy and once
 // with the overload-protection stack — and tabulates goodput, tail latency,
@@ -139,10 +102,21 @@ func OverloadReport(oc OverloadConfig) (*Report, error) {
 		{"protected", oc.Overload},
 	}
 	for _, arm := range arms {
-		lr, ps, bs, err := overloadRun(oc, arm.ov, tr)
+		dec, err := baselines.NewStaticSharded(oc.Expert, oc.Eval, oc.Prototype.shards())
 		if err != nil {
 			return nil, err
 		}
+		run, err := runTestbed(dec, oc.Prototype, &oc.Faults, oc.Resilience, arm.ov, tr, server.LoadConfig{
+			Concurrency:    oc.Prototype.Concurrency,
+			ClientLatency:  oc.Prototype.ClientLatency,
+			RequestTimeout: 30 * time.Second,
+			Deadline:       oc.Deadline,
+			Burst:          &oc.Burst,
+		})
+		if err != nil {
+			return nil, err
+		}
+		lr, ps, bs := run.load, run.stats, run.breaker
 		rep.AddRow(arm.name,
 			fmt.Sprint(lr.Requests), fmt.Sprint(lr.OnTime), f4(lr.GoodputRate()),
 			fmt.Sprint(lr.Errors), fmt.Sprint(lr.Shed), fmt.Sprint(lr.StaleServes),

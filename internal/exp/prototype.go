@@ -3,12 +3,15 @@ package exp
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"time"
 
 	"darwin/internal/baselines"
+	"darwin/internal/breaker"
 	"darwin/internal/cache"
 	"darwin/internal/core"
+	"darwin/internal/faults"
 	"darwin/internal/server"
 	"darwin/internal/trace"
 )
@@ -68,17 +71,49 @@ func PrototypeScale(sc Scale) Scale {
 	return sc
 }
 
-// startProxy spins up an origin+proxy pair around the given decider and
-// returns the proxy URL and a shutdown func.
-func startProxy(dec server.Decider, pc PrototypeConfig) (string, func()) {
-	origin := &server.Origin{Latency: pc.OriginLatency}
-	originSrv := httptest.NewServer(origin)
-	proxy := server.NewProxy(dec, originSrv.URL, pc.DCLatency)
-	proxySrv := httptest.NewServer(proxy)
-	return proxySrv.URL, func() {
-		proxySrv.Close()
-		originSrv.Close()
+// testbedRun is one prototype run's outcome: the client-side result plus
+// the proxy's, its breaker's (zero without one) and the fault injector's
+// (zero without one) counters.
+type testbedRun struct {
+	load    server.LoadResult
+	stats   server.ProxyStats
+	breaker breaker.Snapshot
+	faults  faults.Stats
+}
+
+// runTestbed replays tr through a fresh origin+proxy pair: the HTTP testbed
+// every prototype experiment shares. The origin delays each response by
+// pc.OriginLatency and, when fc is non-nil, misbehaves on fc's schedule; the
+// proxy runs dec with the stages res and ov switch on and pays pc.DCLatency
+// on DC hits. lc configures the load generator; its ProxyURL is set here.
+func runTestbed(dec server.Decider, pc PrototypeConfig, fc *faults.Config, res server.Resilience, ov server.Overload, tr *trace.Trace, lc server.LoadConfig) (testbedRun, error) {
+	var origin http.Handler = &server.Origin{Latency: pc.OriginLatency}
+	var injector *faults.Injector
+	if fc != nil {
+		injector = faults.New(*fc)
+		origin = injector.Wrap(origin)
 	}
+	originSrv := httptest.NewServer(origin)
+	defer originSrv.Close()
+	proxy := server.NewOverloadProxy(dec, originSrv.URL, pc.DCLatency, res, ov)
+	proxySrv := httptest.NewServer(proxy)
+	defer proxySrv.Close()
+
+	if injector != nil {
+		// Outage windows anchor to the physical clock of the live origin
+		// server, which is exactly the wall-clock boundary the determinism
+		// rule carves out for internal/server.
+		//lint:ignore determinism prototype testbed runs on the physical clock; simulator replays never reach this path
+		injector.Restart(time.Now()) // align outage windows with the replay
+	}
+	lc.ProxyURL = proxySrv.URL
+	lr, err := server.RunLoad(context.Background(), tr, lc)
+	run := testbedRun{load: lr, stats: proxy.Stats()}
+	run.breaker, _ = proxy.BreakerSnapshot()
+	if injector != nil {
+		run.faults = injector.Stats()
+	}
+	return run, err
 }
 
 // darwinDecider builds a Darwin controller decider for the prototype over a
@@ -104,15 +139,12 @@ func Fig4cPrototypeOHR(c *Corpus, pc PrototypeConfig, tr *trace.Trace) (*Report,
 		Header: []string{"scheme", "OHR", "requests", "errors"},
 	}
 	runOne := func(name string, dec server.Decider) error {
-		url, stop := startProxy(dec, pc)
-		defer stop()
-		res, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
-			ProxyURL:    url,
-			Concurrency: pc.Concurrency,
-		})
+		run, err := runTestbed(dec, pc, nil, server.Resilience{}, server.Overload{}, tr,
+			server.LoadConfig{Concurrency: pc.Concurrency})
 		if err != nil {
 			return err
 		}
+		res := run.load
 		ohr := 0.0
 		if res.Requests > 0 {
 			ohr = float64(res.HOCHits) / float64(res.Requests)
@@ -152,18 +184,13 @@ func Fig7aLatency(c *Corpus, pc PrototypeConfig, tr *trace.Trace) (*Report, erro
 		Header: []string{"scheme", "p10", "p50", "p90", "p99"},
 	}
 	runOne := func(name string, dec server.Decider) error {
-		url, stop := startProxy(dec, pc)
-		defer stop()
-		res, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
-			ProxyURL:      url,
-			Concurrency:   pc.Concurrency,
-			ClientLatency: pc.ClientLatency,
-		})
+		run, err := runTestbed(dec, pc, nil, server.Resilience{}, server.Overload{}, tr,
+			server.LoadConfig{Concurrency: pc.Concurrency, ClientLatency: pc.ClientLatency})
 		if err != nil {
 			return err
 		}
 		ms := func(p float64) string {
-			return fmt.Sprintf("%.2f", float64(res.LatencyPercentile(p).Microseconds())/1000)
+			return fmt.Sprintf("%.2f", float64(run.load.LatencyPercentile(p).Microseconds())/1000)
 		}
 		rep.AddRow(name, ms(10), ms(50), ms(90), ms(99))
 		return nil
@@ -197,13 +224,12 @@ func Fig7bThroughput(c *Corpus, pc PrototypeConfig, tr *trace.Trace) (*Report, e
 	static := c.Scale.Experts[len(c.Scale.Experts)/2]
 	for _, conc := range pc.ConcurrencySweep {
 		run := func(dec server.Decider) (float64, error) {
-			url, stop := startProxy(dec, pc)
-			defer stop()
-			res, err := server.RunLoad(context.Background(), tr, server.LoadConfig{ProxyURL: url, Concurrency: conc})
+			run, err := runTestbed(dec, pc, nil, server.Resilience{}, server.Overload{}, tr,
+				server.LoadConfig{Concurrency: conc})
 			if err != nil {
 				return 0, err
 			}
-			return res.ThroughputBps() / 1e6, nil
+			return run.load.ThroughputBps() / 1e6, nil
 		}
 		dd, err := darwinDecider(c, pc.shards())
 		if err != nil {

@@ -51,7 +51,7 @@ func BenchmarkProxyHOCHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	proxy := NewResilientProxy(dec, "http://unused", 0, DefaultResilience())
+	proxy := NewOverloadProxy(dec, "http://unused", 0, DefaultResilience(), Overload{})
 	origin := httptest.NewServer(&Origin{})
 	defer origin.Close()
 	proxy.OriginURL = origin.URL

@@ -20,7 +20,7 @@ func frontBackend(t *testing.T, originURL string) (*Proxy, *Health, *httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := NewResilientProxy(dec, originURL, 0, fastResilience())
+	proxy := NewOverloadProxy(dec, originURL, 0, fastResilience(), Overload{})
 	health := NewHealth()
 	mux := http.NewServeMux()
 	mux.Handle("/obj/", proxy)

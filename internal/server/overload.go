@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"darwin/internal/breaker"
-	"darwin/internal/cache"
 	"darwin/internal/trace"
 )
 
@@ -24,19 +23,15 @@ const DeadlineHeader = "X-Darwin-Deadline-Ms"
 // serves issued on a shed path. The value names the shed reason.
 const ShedHeader = "X-Darwin-Shed"
 
-// Overload configures the proxy's overload-protection layer: circuit
+// Overload configures the proxy's overload-protection stages: circuit
 // breaking on the origin path, bounded-in-flight admission control,
 // client-deadline propagation with doomed-work shedding, hedged fetches, and
-// a rolling-window retry budget. The zero value disables all of it,
-// reproducing the PR 1 retry-only data plane.
+// a rolling-window retry budget. The zero value turns all of them off.
 type Overload struct {
-	// Enabled turns the overload layer on. Enabling it also enables the
-	// resilient miss path (retries/coalescing/serve-stale ride below it).
-	Enabled bool
-	// Breaker parameterises the origin circuit breaker; the zero value
-	// selects breaker defaults (1s window, 50% threshold, 250ms cool-off,
-	// 3 half-open probes).
-	Breaker breaker.Config
+	// Breaker parameterises the origin circuit breaker; nil runs none. A
+	// zero Config selects the breaker defaults (1s window, 50% threshold,
+	// 250ms cool-off, 3 half-open probes).
+	Breaker *breaker.Config
 	// MaxInFlight bounds concurrently admitted requests; a request over the
 	// budget is shed immediately (stale or 503+Retry-After) instead of
 	// queueing. 0 means unlimited.
@@ -56,7 +51,8 @@ type Overload struct {
 	// RetryBudget caps total retry attempts (attempts beyond a miss's first)
 	// per RetryBudgetWindow across the whole proxy, so the backoff path can
 	// never probe a sick origin harder than the breaker's half-open budget.
-	// 0 selects the breaker's HalfOpenProbes; < 0 disables the cap.
+	// 0 selects the breaker's HalfOpenProbes (no cap without a breaker);
+	// < 0 disables the cap.
 	RetryBudget int64
 	// RetryBudgetWindow is the retry budget's reset period (default: the
 	// breaker window).
@@ -71,7 +67,7 @@ type Overload struct {
 // budget equal to the breaker's half-open probe budget per window.
 func DefaultOverload() Overload {
 	return Overload{
-		Enabled:           true,
+		Breaker:           &breaker.Config{},
 		MaxInFlight:       512,
 		PropagateDeadline: true,
 		MinFetchBudget:    50 * time.Millisecond,
@@ -80,50 +76,27 @@ func DefaultOverload() Overload {
 	}
 }
 
-// withDefaults fills the derived knobs that need the breaker config.
+// withDefaults fills the knobs whose zero value is not a stage switch, and
+// derives the retry budget from the breaker.
 func (ov Overload) withDefaults() Overload {
-	if !ov.Enabled {
-		return ov
-	}
 	if ov.MinFetchBudget <= 0 {
 		ov.MinFetchBudget = 50 * time.Millisecond
 	}
 	if ov.RetryAfter <= 0 {
 		ov.RetryAfter = time.Second
 	}
-	return ov
-}
-
-// NewOverloadProxy builds a proxy with both the fault-tolerance layer and
-// the overload-protection layer. Enabling overload protection forces the
-// resilient data plane on (with MaxAttempts 1 if the caller left resilience
-// off), because shedding decisions hang off the probe-then-commit miss path.
-func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration, res Resilience, ov Overload) *Proxy {
-	ov = ov.withDefaults()
-	if ov.Enabled && !res.Enabled {
-		res.Enabled = true
-		res.MaxAttempts = 1
-	}
-	p := NewResilientProxy(decider, originURL, dcLatency, res)
-	p.ov = ov
-	if ov.Enabled {
-		p.brk = breaker.New(ov.Breaker)
-		if ov.RetryBudget >= 0 {
-			max := ov.RetryBudget
-			if max == 0 {
-				max = ov.Breaker.HalfOpenProbes
-				if max <= 0 {
-					max = 3 // the breaker default for HalfOpenProbes
-				}
+	if ov.Breaker != nil {
+		if ov.RetryBudget == 0 {
+			ov.RetryBudget = ov.Breaker.HalfOpenProbes
+			if ov.RetryBudget <= 0 {
+				ov.RetryBudget = 3 // the breaker default for HalfOpenProbes
 			}
-			window := ov.RetryBudgetWindow
-			if window <= 0 {
-				window = ov.Breaker.Window
-			}
-			p.retryBudget = breaker.NewBudget(max, window, ov.Breaker.Clock)
+		}
+		if ov.RetryBudgetWindow <= 0 {
+			ov.RetryBudgetWindow = ov.Breaker.Window
 		}
 	}
-	return p
+	return ov
 }
 
 // Ready reports whether the proxy is fit to receive new traffic: false while
@@ -135,7 +108,7 @@ func (p *Proxy) Ready() bool {
 }
 
 // BreakerSnapshot returns the circuit breaker's coherent counter snapshot,
-// and whether overload protection is active at all.
+// and whether the proxy runs a breaker at all.
 func (p *Proxy) BreakerSnapshot() (breaker.Snapshot, bool) {
 	if p.brk == nil {
 		return breaker.Snapshot{}, false
@@ -143,19 +116,9 @@ func (p *Proxy) BreakerSnapshot() (breaker.Snapshot, bool) {
 	return p.brk.SnapshotNow(), true
 }
 
-// admit runs the overload admission decision for one request; callers must
-// pair a true return with a release of the in-flight slot (the caller's
-// defer). A false return means the request was already answered (shed).
-func (p *Proxy) admit(w http.ResponseWriter, req trace.Request, n int64) bool {
-	if p.ov.MaxInFlight > 0 && n > p.ov.MaxInFlight {
-		p.shed(w, req, "inflight")
-		return false
-	}
-	return true
-}
-
 // deadlineCtx derives the request context carrying the client's propagated
-// deadline, if the header is present and well-formed.
+// deadline, if PropagateDeadline is on and the header is present and
+// well-formed; cancel is nil otherwise.
 func (p *Proxy) deadlineCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	if !p.ov.PropagateDeadline {
 		return r.Context(), nil
@@ -175,9 +138,6 @@ func (p *Proxy) deadlineCtx(r *http.Request) (context.Context, context.CancelFun
 // deadline is below the minimum fetch budget, so the fetch would be cancelled
 // mid-flight and the client would see a slow failure instead of a fast shed.
 func (p *Proxy) doomed(ctx context.Context) bool {
-	if !p.ov.Enabled {
-		return false
-	}
 	dl, ok := ctx.Deadline()
 	if !ok {
 		return false
@@ -185,23 +145,24 @@ func (p *Proxy) doomed(ctx context.Context) bool {
 	return time.Until(dl) < p.ov.MinFetchBudget
 }
 
+// deadlinePassed reports whether ctx carries a deadline that the clock has
+// reached. It reads the clock rather than ctx.Err(): a fetch context derived
+// from the same deadline can fire a moment before ctx's own timer.
+func deadlinePassed(ctx context.Context) bool {
+	dl, ok := ctx.Deadline()
+	return ok && !time.Now().Before(dl)
+}
+
 // shed answers a request the overload layer refuses to do full work for:
 // from the stale store when possible (a fast, degraded success), otherwise a
 // cheap 503 with Retry-After — never by queueing behind a sick origin.
 func (p *Proxy) shed(w http.ResponseWriter, req trace.Request, reason string) {
 	p.stats.Add(req.ID, psShed, 1)
-	if p.res.ServeStale {
-		if _, ok := p.staleHas(req.ID); ok {
-			p.stats.Add(req.ID, psStaleServes, 1)
-			w.Header().Set("X-Cache", "stale")
-			w.Header().Set(ShedHeader, reason)
-			w.Header().Set("Warning", `110 darwin-proxy "response is stale"`)
-			p.serveLocal(w, cache.HOCHit, req.Size)
-			return
-		}
+	w.Header().Set(ShedHeader, reason)
+	if p.serveStale(w, req) {
+		return
 	}
 	p.stats.Add(req.ID, psErrors, 1)
-	w.Header().Set(ShedHeader, reason)
 	w.Header().Set("Retry-After", strconv.Itoa(int((p.ov.RetryAfter+time.Second-1)/time.Second)))
 	http.Error(w, fmt.Sprintf("server: overloaded (%s)", reason), http.StatusServiceUnavailable)
 }

@@ -66,7 +66,6 @@ func getDeadline(t *testing.T, base string, id uint64, size int64, deadline time
 func TestDeadlineShedNotRetry(t *testing.T) {
 	res := fastResilience() // MaxAttempts 4: plenty of retries available
 	ov := Overload{
-		Enabled:           true,
 		PropagateDeadline: true,
 		MinFetchBudget:    5 * time.Millisecond,
 		RetryBudget:       -1, // uncapped: prove the deadline alone stops retries
@@ -103,12 +102,40 @@ func TestDeadlineShedNotRetry(t *testing.T) {
 	}
 }
 
+// TestFetchTimeoutIsNotDeadlineShed: a per-attempt FetchTimeout expiry also
+// wraps context.DeadlineExceeded, but a request that carries no client
+// deadline has nothing to shed against — the client gets the origin-failure
+// 502, and no deadline shed is counted.
+func TestFetchTimeoutIsNotDeadlineShed(t *testing.T) {
+	res := fastResilience()
+	res.MaxAttempts = 1
+	res.FetchTimeout = 50 * time.Millisecond
+	ov := DefaultOverload()
+	ov.Hedge = 0
+	proxySrv, proxy := overloadTestbed(t, res, ov, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(300 * time.Millisecond) // stall past the attempt timeout
+			h.ServeHTTP(w, r)
+		})
+	})
+	resp := getDeadline(t, proxySrv.URL, 1, 1000, 0) // no deadline header
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("status %d (shed %q), want 502", resp.StatusCode, resp.Header.Get(ShedHeader))
+	}
+	if got := resp.Header.Get(ShedHeader); got != "" {
+		t.Fatalf("shed header %q on an origin failure", got)
+	}
+	if st := proxy.Stats(); st.DeadlineSheds != 0 || st.Shed != 0 || st.Errors != 1 {
+		t.Fatalf("stats = %+v, want one proxy error and no sheds", st)
+	}
+}
+
 // TestAdmissionShedsOverBudget covers bounded in-flight admission: requests
 // over MaxInFlight are answered immediately with 503+Retry-After (or stale),
 // never queued behind the slow work that is hogging the budget.
 func TestAdmissionShedsOverBudget(t *testing.T) {
 	res := fastResilience()
-	ov := Overload{Enabled: true, MaxInFlight: 1, RetryBudget: -1}
+	ov := Overload{MaxInFlight: 1, RetryBudget: -1}
 	var slow atomic.Bool
 	proxySrv, proxy := overloadTestbed(t, res, ov, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -169,7 +196,7 @@ func TestAdmissionShedsOverBudget(t *testing.T) {
 // overtaken by the hedged second, and the client sees a fast success.
 func TestHedgeRescuesStalledFetch(t *testing.T) {
 	res := fastResilience()
-	ov := Overload{Enabled: true, Hedge: 10 * time.Millisecond, RetryBudget: -1}
+	ov := Overload{Hedge: 10 * time.Millisecond, RetryBudget: -1}
 	var n atomic.Int64
 	proxySrv, proxy := overloadTestbed(t, res, ov, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -198,8 +225,7 @@ func TestHedgeRescuesStalledFetch(t *testing.T) {
 // readiness surface: tripping it flips /readyz to 503 naming the gate.
 func TestBreakerGatesReadiness(t *testing.T) {
 	ov := Overload{
-		Enabled: true,
-		Breaker: breaker.Config{MinRequests: 2, OpenFor: time.Hour},
+		Breaker: &breaker.Config{MinRequests: 2, OpenFor: time.Hour},
 	}
 	_, proxy := overloadTestbed(t, fastResilience(), ov, nil)
 	health := NewHealth(Gate{Name: "breaker", Ready: proxy.Ready})

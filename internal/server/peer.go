@@ -237,14 +237,12 @@ func (p *Proxy) servePeerProbe(w http.ResponseWriter, r *http.Request, req trace
 		ps.mergeGossip(r.Header)
 		w.Header()[GossipHeader] = []string{ps.gossipValue()}
 	}
-	if p.lk != nil {
-		if probe := p.lk.Lookup(req.ID); probe != cache.Miss {
-			res := p.serve(req)
-			p.stats.Add(req.ID, psPeerServed, 1)
-			setXCache(w.Header(), res)
-			p.serveLocal(w, res, req.Size)
-			return
-		}
+	if p.decider.Lookup(req.ID) != cache.Miss {
+		res := p.decider.Serve(req)
+		p.stats.Add(req.ID, psPeerServed, 1)
+		setXCache(w.Header(), res)
+		p.serveLocal(w, res, req.Size)
+		return
 	}
 	w.WriteHeader(http.StatusNotFound)
 }
@@ -256,7 +254,7 @@ func (p *Proxy) servePeerProbe(w http.ResponseWriter, r *http.Request, req trace
 // holders. Siblings the gossip layer grades Dead are skipped outright (no
 // point spending a probe timeout on a corpse), and each probe still respects
 // the sibling's breaker. Returns false when no holder had the object — the
-// caller falls through to the resilient origin path.
+// caller falls through to the origin fetch.
 func (p *Proxy) fetchPeer(ctx context.Context, id uint64, size int64) bool {
 	ps := p.peers
 	var dst [lb.MaxReplicas]int

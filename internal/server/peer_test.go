@@ -22,7 +22,7 @@ func peerPair(t *testing.T, originURL string) (a, b *Proxy, aSrv, bSrv *httptest
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewResilientProxy(dec, originURL, 0, fastResilience())
+		return NewOverloadProxy(dec, originURL, 0, fastResilience(), Overload{})
 	}
 	a, b = mk(), mk()
 	aSrv = httptest.NewServer(a)

@@ -42,7 +42,7 @@ func resilientTestbed(t *testing.T, res Resilience, wrap func(http.Handler) http
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := NewResilientProxy(dec, originSrv.URL, 0, res)
+	proxy := NewOverloadProxy(dec, originSrv.URL, 0, res, Overload{})
 	proxySrv := httptest.NewServer(proxy)
 	t.Cleanup(proxySrv.Close)
 	return origin, proxySrv, proxy, dec
@@ -263,34 +263,116 @@ func truncatingOrigin() http.Handler {
 	})
 }
 
-func TestLegacyProxySurfacesTruncatedOrigin(t *testing.T) {
-	originSrv := httptest.NewServer(truncatingOrigin())
-	defer originSrv.Close()
-	dec, err := baselines.NewStatic(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := NewProxy(dec, originSrv.URL, 0)
-	proxySrv := httptest.NewServer(proxy)
-	defer proxySrv.Close()
+// barrier holds every request until n have arrived, so n concurrent misses
+// for one object are all in flight at once (a 5 s fallback keeps a wrong
+// proxy from hanging the test).
+type barrier struct {
+	n       int64
+	arrived atomic.Int64
+	all     chan struct{}
+	next    http.Handler
+}
 
-	resp, err := http.Get(fmt.Sprintf("%s/obj/3?size=10000", proxySrv.URL))
-	if err != nil {
-		t.Fatal(err)
+func (b *barrier) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if b.arrived.Add(1) == b.n {
+		close(b.all)
 	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	// The miss response must declare the origin's Content-Length so the
-	// short body is a client-visible error, not a silent short 200.
-	if cl := resp.Header.Get("Content-Length"); cl != "10000" {
-		t.Fatalf("Content-Length = %q, want 10000", cl)
+	select {
+	case <-b.all:
+	case <-time.After(5 * time.Second):
 	}
-	if rerr == nil {
-		t.Fatalf("truncated origin body read cleanly: %d bytes", len(body))
+	b.next.ServeHTTP(w, r)
+}
+
+// TestStageOffPipeline pins the zero configuration, Resilience{} with
+// Overload{}: exactly one validated origin fetch per miss, and no retry,
+// coalescing, stale serve, hedge, shed or breaker. A failed fetch answers
+// 502 — never a short 200 — and leaves no trace in the decider.
+func TestStageOffPipeline(t *testing.T) {
+	type step struct {
+		id     uint64
+		status int
 	}
-	if st := proxy.Stats(); st.Errors != 1 {
-		t.Fatalf("stats = %+v, want the copy error surfaced", st)
+	okFirst := func(h http.Handler) http.Handler {
+		var n atomic.Int64
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if n.Add(1) > 1 {
+				http.Error(w, "origin down", http.StatusServiceUnavailable)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	for _, tc := range []struct {
+		name    string
+		origin  http.Handler // nil: nothing listening
+		conc    int          // concurrent copies of each step
+		steps   []step
+		fetches int64
+		errors  int64
+	}{
+		{"concurrent-misses", &barrier{n: 4, all: make(chan struct{}), next: &Origin{}}, 4,
+			[]step{{1, http.StatusOK}}, 4, 0},
+		{"unreachable-origin", nil, 1, []step{{2, http.StatusBadGateway}}, 1, 1},
+		{"truncated-origin", truncatingOrigin(), 1, []step{{3, http.StatusBadGateway}}, 1, 1},
+		{"no-retry-no-stale", okFirst(&Origin{}), 1,
+			[]step{{5, http.StatusOK}, {5, http.StatusBadGateway}}, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			originURL := "http://127.0.0.1:1"
+			if tc.origin != nil {
+				originSrv := httptest.NewServer(tc.origin)
+				t.Cleanup(originSrv.Close)
+				originURL = originSrv.URL
+			}
+			dec, err := baselines.NewStatic(cache.Expert{Freq: 1, MaxSize: 1 << 20},
+				cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			proxy := NewOverloadProxy(dec, originURL, 0, Resilience{}, Overload{})
+			proxySrv := httptest.NewServer(proxy)
+			t.Cleanup(proxySrv.Close)
+
+			var served int64
+			for _, st := range tc.steps {
+				var wg sync.WaitGroup
+				for i := 0; i < tc.conc; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						resp, err := http.Get(fmt.Sprintf("%s/obj/%d?size=10000", proxySrv.URL, st.id))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						body, err := io.ReadAll(resp.Body)
+						resp.Body.Close()
+						if err != nil || resp.StatusCode != st.status {
+							t.Errorf("object %d: status %d (read err %v), want %d", st.id, resp.StatusCode, err, st.status)
+						}
+						if resp.StatusCode == http.StatusOK && len(body) != 10000 {
+							t.Errorf("object %d: 200 with %d/10000 bytes", st.id, len(body))
+						}
+					}()
+				}
+				wg.Wait()
+				if st.status == http.StatusOK {
+					served += int64(tc.conc)
+				}
+			}
+			got := proxy.Stats()
+			want := ProxyStats{OriginFetches: tc.fetches, FetchFailures: tc.errors, Errors: tc.errors}
+			if got != want {
+				t.Fatalf("stats = %+v, want %+v", got, want)
+			}
+			if _, ok := proxy.BreakerSnapshot(); ok {
+				t.Fatal("stage-off proxy runs a breaker")
+			}
+			if m := dec.Metrics(); m.Requests != served {
+				t.Fatalf("decider accounted %d requests, want the %d served", m.Requests, served)
+			}
+		})
 	}
 }
 
@@ -307,7 +389,7 @@ func TestResilientProxyRetriesTruncatedOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := NewResilientProxy(dec, originSrv.URL, 0, res)
+	proxy := NewOverloadProxy(dec, originSrv.URL, 0, res, Overload{})
 	proxySrv := httptest.NewServer(proxy)
 	defer proxySrv.Close()
 

@@ -16,14 +16,27 @@
 // never body writes or origin I/O, and the proxy's own data-plane counters
 // live in lock-striped cells so Stats reads are coherent and lock-free.
 //
-// The proxy has two data-plane modes. The legacy mode (NewProxy) reproduces
-// the paper's happy-path testbed: one origin fetch per miss, streamed to the
-// client. The resilient mode (NewResilientProxy) hardens the same path for a
-// faulty origin: per-request context deadlines, retried fetches with
-// exponential backoff and jitter, single-flight coalescing so concurrent
-// misses for one object cost one origin fetch, and graceful degradation —
-// when the origin stays down the proxy serves a previously-seen object stale
-// (the serve-stale analogue) and only then answers 502. A failed fetch is
+// The proxy has one data plane. Every client request runs the same stages:
+//
+//  1. admission: over Overload.MaxInFlight concurrent requests, shed (stale
+//     or 503+Retry-After) before any cache or origin work;
+//  2. client deadline: with Overload.PropagateDeadline, the DeadlineHeader
+//     becomes the request context's deadline;
+//  3. residency: the decider's Lookup probes without mutating the cache; a
+//     hit commits through Serve and is answered from memory (or disk);
+//  4. miss: shed a doomed miss whose deadline cannot cover a fetch, try the
+//     ring siblings (peer fill), then fetch from the origin — coalesced
+//     (Resilience.Coalesce), retried with jittered backoff
+//     (Resilience.MaxAttempts), hedged (Overload.Hedge) and gated by the
+//     circuit breaker and retry budget (Overload.Breaker);
+//  5. outcome: a validated fetch commits through Serve and is answered; a
+//     failed one is shed (open breaker, expired client deadline), answered
+//     stale (Resilience.ServeStale), or answered 502.
+//
+// Each stage is off at its own field's zero value, so Resilience{} with
+// Overload{} is the paper's happy-path testbed (one validated origin fetch
+// per miss) and DefaultResilience with DefaultOverload is the deployed plane.
+// Commit-after-fetch holds in every configuration: a failed fetch is
 // accounted as a proxy error, never as a cache admission, so origin faults
 // cannot corrupt the decider's view of what is resident.
 package server
@@ -145,18 +158,18 @@ func sizeParam(rawQuery string) string {
 type Decider interface {
 	// Serve accounts one request and decides where it is served from.
 	Serve(r trace.Request) cache.Result
+	Lookuper
 	// Metrics exposes accumulated cache metrics.
 	Metrics() cache.Metrics
 	// Name labels the scheme.
 	Name() string
 }
 
-// Lookuper is an optional Decider extension: a residency probe that mutates
-// no cache state, metrics, or frequency tracking. The resilient proxy probes
-// before an origin fetch and commits the request through Serve only after
-// the fetch succeeds, so a failed fetch cannot leave a phantom admission in
-// the cache (the decider believing an object is DC-resident whose bytes
-// never arrived).
+// Lookuper is the decider's residency probe: it mutates no cache state,
+// metrics, or frequency tracking. The proxy probes before an origin fetch
+// and commits the request through Serve only after the fetch succeeds, so a
+// failed fetch cannot leave a phantom admission in the cache (the decider
+// believing an object is DC-resident whose bytes never arrived).
 type Lookuper interface {
 	Lookup(id uint64) cache.Result
 }
@@ -164,19 +177,11 @@ type Lookuper interface {
 // serializedDecider adapts a decider that is not safe for concurrent callers
 // (anything that does not advertise Concurrent() == true, e.g. a baseline
 // over a bare Hierarchy) by serializing every call under one global mutex —
-// the legacy proxy data plane, preserved verbatim as the sharded engine's
-// comparison arm.
+// the global-lock arrangement, kept as the sharded engine's comparison arm.
 type serializedDecider struct {
 	mu sync.Mutex
 	// dec is the wrapped decider; guarded by mu.
 	dec Decider
-	// lk is dec's probe seam, nil if dec has none; guarded by mu.
-	lk Lookuper
-}
-
-func newSerializedDecider(dec Decider) *serializedDecider {
-	lk, _ := dec.(Lookuper)
-	return &serializedDecider{dec: dec, lk: lk}
 }
 
 func (s *serializedDecider) Serve(r trace.Request) cache.Result {
@@ -188,7 +193,7 @@ func (s *serializedDecider) Serve(r trace.Request) cache.Result {
 func (s *serializedDecider) Lookup(id uint64) cache.Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lk.Lookup(id)
+	return s.dec.Lookup(id)
 }
 
 func (s *serializedDecider) Metrics() cache.Metrics {
@@ -203,17 +208,18 @@ func (s *serializedDecider) Name() string {
 	return s.dec.Name()
 }
 
-// Resilience configures the proxy's fault-tolerance layer. The zero value
-// disables it, reproducing the legacy happy-path data plane.
+// Resilience configures the proxy's fault-tolerance stages. The zero value
+// turns them all off: one origin fetch per miss, no coalescing, no stale
+// serves.
 type Resilience struct {
-	// Enabled turns the resilient miss path on.
-	Enabled bool
-	// MaxAttempts is the total origin fetch attempts per miss (1 = no retry).
+	// MaxAttempts is the total origin fetch attempts per miss (<= 1 = no
+	// retry).
 	MaxAttempts int
-	// FetchTimeout bounds each attempt (headers + full body).
+	// FetchTimeout bounds each attempt (headers + full body); 0 leaves only
+	// the client's deadline and the HTTP client's own timeout.
 	FetchTimeout time.Duration
 	// BackoffBase is the pre-jitter backoff before the first retry; it
-	// doubles per retry up to BackoffMax.
+	// doubles per retry up to BackoffMax (default 5ms).
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential backoff.
 	BackoffMax time.Duration
@@ -233,7 +239,6 @@ type Resilience struct {
 // backoff capped at 250 ms, coalescing and serve-stale on.
 func DefaultResilience() Resilience {
 	return Resilience{
-		Enabled:      true,
 		MaxAttempts:  4,
 		FetchTimeout: 2 * time.Second,
 		BackoffBase:  5 * time.Millisecond,
@@ -243,6 +248,20 @@ func DefaultResilience() Resilience {
 		StaleCap:     64 << 10,
 		Seed:         1,
 	}
+}
+
+// withDefaults fills the knobs whose zero value is not a stage switch.
+func (res Resilience) withDefaults() Resilience {
+	if res.MaxAttempts <= 0 {
+		res.MaxAttempts = 1
+	}
+	if res.BackoffBase <= 0 {
+		res.BackoffBase = 5 * time.Millisecond
+	}
+	if res.StaleCap <= 0 {
+		res.StaleCap = 64 << 10
+	}
+	return res
 }
 
 // Stripe-cell indexes for the proxy's data-plane counters.
@@ -334,10 +353,6 @@ type Proxy struct {
 	// construction. The critical sections cover only decider calls, never
 	// origin I/O or body writes.
 	decider Decider
-	// lk is the decider's residency-probe seam, nil when the underlying
-	// decider offers none (then the resilient path falls back to
-	// decide-first ordering).
-	lk Lookuper
 
 	// OriginURL is the origin base URL (e.g. http://127.0.0.1:9000).
 	OriginURL string
@@ -349,10 +364,10 @@ type Proxy struct {
 	res     Resilience
 	flights flightGroup
 
-	// ov is the overload-protection layer (zero = disabled); brk gates
-	// origin fetch attempts and retryBudget caps the backoff path when it
-	// is enabled. Both publish through seqlock cells, so readiness and
-	// stats reads never touch the data plane's locks.
+	// ov is the overload-protection configuration; brk gates origin fetch
+	// attempts and retryBudget caps the backoff path (each nil when off).
+	// Both publish through seqlock cells, so readiness and stats reads never
+	// touch the data plane's locks.
 	ov          Overload
 	brk         *breaker.Breaker
 	retryBudget *breaker.Budget
@@ -384,54 +399,37 @@ type Proxy struct {
 	start time.Time
 }
 
-// NewProxy builds a proxy with the legacy happy-path data plane (no retries,
-// no coalescing, no degraded mode) — the pre-hardening behavior, kept as the
-// chaos experiment's control arm.
-func NewProxy(decider Decider, originURL string, dcLatency time.Duration) *Proxy {
-	return NewResilientProxy(decider, originURL, dcLatency, Resilience{})
-}
-
-// NewResilientProxy builds a proxy with the given fault-tolerance layer.
-func NewResilientProxy(decider Decider, originURL string, dcLatency time.Duration, res Resilience) *Proxy {
-	if res.Enabled {
-		if res.MaxAttempts <= 0 {
-			res.MaxAttempts = 1
-		}
-		if res.BackoffBase <= 0 {
-			res.BackoffBase = 5 * time.Millisecond
-		}
-		if res.StaleCap <= 0 {
-			res.StaleCap = 64 << 10
-		}
-	}
+// NewOverloadProxy builds a proxy around decider running the one data plane
+// (see the package doc) with the stages res and ov switch on.
+func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration, res Resilience, ov Overload) *Proxy {
+	res = res.withDefaults()
+	ov = ov.withDefaults()
 	dec := decider
 	if c, ok := decider.(interface{ Concurrent() bool }); !ok || !c.Concurrent() {
 		// Not advertised concurrency-safe: serialize it under one global
-		// mutex (the legacy data plane).
-		dec = newSerializedDecider(decider)
+		// mutex.
+		dec = &serializedDecider{dec: decider}
 	}
-	// The probe seam must come from the original decider — the serialized
-	// wrapper always has a Lookup method, but it panics when the wrapped
-	// decider has none.
-	var lk Lookuper
-	if orig, ok := decider.(Lookuper); ok {
-		if dec == decider {
-			lk = orig
-		} else {
-			lk = dec.(Lookuper)
-		}
-	}
-	return &Proxy{
+	p := &Proxy{
 		decider:   dec,
-		lk:        lk,
 		OriginURL: originURL,
 		DCLatency: dcLatency,
 		Client:    &http.Client{Timeout: 30 * time.Second},
 		res:       res,
+		ov:        ov,
 		rng:       rand.New(rand.NewSource(res.Seed)),
 		stats:     stripe.New(proxyStatStripes, psWidth),
 		start:     time.Now(),
 	}
+	var clock func() time.Time
+	if ov.Breaker != nil {
+		p.brk = breaker.New(*ov.Breaker)
+		clock = ov.Breaker.Clock
+	}
+	if ov.RetryBudget > 0 {
+		p.retryBudget = breaker.NewBudget(ov.RetryBudget, ov.RetryBudgetWindow, clock)
+	}
+	return p
 }
 
 // Metrics returns the decider's cache metrics (thread-safe: the decider is
@@ -478,14 +476,8 @@ func (p *Proxy) Stats() ProxyStats {
 	}
 }
 
-// serve runs the decider for one request. Concurrency is the decider's: a
-// sharded engine serializes only within the owning shard, the wrapper
-// serializes globally.
-func (p *Proxy) serve(req trace.Request) cache.Result {
-	return p.decider.Serve(req)
-}
-
-// ServeHTTP implements http.Handler for GET /obj/<id>?size=<n>.
+// ServeHTTP implements http.Handler for GET /obj/<id>?size=<n>: the
+// admission and client-deadline stages, then serveObject.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	id, size, err := parseObjectURL(r)
 	if err != nil {
@@ -493,56 +485,36 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := trace.Request{ID: id, Size: size, Time: time.Since(p.start).Microseconds()}
-	if p.peers != nil && isPeerProbe(r) {
-		// A sibling's probe: answered from memory or 404, before the
-		// overload machinery — the probe path is strictly cheaper than the
-		// admission work that would guard it, and must never recurse into
-		// peer or origin fetches (loop guard).
-		p.servePeerProbe(w, r, req)
-		return
-	}
 	if p.peers != nil {
+		if isPeerProbe(r) {
+			// A sibling's probe: answered from memory or 404, before the
+			// overload machinery — the probe path is strictly cheaper than
+			// the admission work that would guard it, and must never recurse
+			// into peer or origin fetches (loop guard).
+			p.servePeerProbe(w, r, req)
+			return
+		}
 		// Client traffic feeds the replication tracker (probes don't: the
 		// prober already counted the request), so the designated-holder map
 		// mirrors what the front tier's replicator sees.
 		p.peers.observe(id)
 	}
-	if p.ov.Enabled {
+	if p.ov.MaxInFlight > 0 {
 		// Admission control runs before any cache or origin work: a request
 		// over the in-flight budget is shed for pennies (stale or 503) so
 		// overload never turns into an unbounded queue of doomed work.
 		n := p.inflight.Add(1)
 		defer p.inflight.Add(-1)
-		if !p.admit(w, req, n) {
+		if n > p.ov.MaxInFlight {
+			p.shed(w, req, "inflight")
 			return
 		}
-		if ctx, cancel := p.deadlineCtx(r); cancel != nil {
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
 	}
-	if p.res.Enabled {
-		p.serveResilient(w, r, req)
-		return
+	if ctx, cancel := p.deadlineCtx(r); cancel != nil {
+		defer cancel()
+		r = r.WithContext(ctx)
 	}
-
-	// Legacy happy-path data plane: decide first (a miss is accounted — and
-	// possibly admitted — before the origin fetch is known to succeed).
-	res := p.serve(req)
-	setXCache(w.Header(), res)
-	if res == cache.Miss {
-		headerSent, err := p.fetchOriginStream(w, r, id, size)
-		if err != nil {
-			p.stats.Add(id, psErrors, 1)
-			if !headerSent {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-			}
-			// After the header is out the short body itself signals the
-			// failure: the connection closes below the declared length.
-		}
-		return
-	}
-	p.serveLocal(w, res, size)
+	p.serveObject(w, r, req)
 }
 
 // serveLocal answers a request from the proxy itself (cache hits, committed
@@ -561,30 +533,13 @@ func (p *Proxy) serveLocal(w http.ResponseWriter, res cache.Result, size int64) 
 	_ = writeBody(w, size) // client went away; nothing useful to do with the error
 }
 
-// serveResilient is the hardened miss path: probe residency without mutating
-// the cache, fetch (coalesced + retried) on a miss, and commit the request
-// through the decider only once the bytes are known good.
-func (p *Proxy) serveResilient(w http.ResponseWriter, r *http.Request, req trace.Request) {
-	canProbe := p.lk != nil
-	if canProbe {
-		if probe := p.lk.Lookup(req.ID); probe != cache.Miss {
-			res := p.serve(req)
-			setXCache(w.Header(), res)
-			p.serveLocal(w, res, req.Size)
-			p.rememberStale(req.ID, req.Size)
-			return
-		}
-	} else {
-		// No probe seam: fall back to decide-first ordering. Retries and
-		// coalescing still apply, but a failed fetch leaves the decider's
-		// miss accounting behind (documented phantom-admission caveat).
-		res := p.serve(req)
-		if res != cache.Miss {
-			setXCache(w.Header(), res)
-			p.serveLocal(w, res, req.Size)
-			p.rememberStale(req.ID, req.Size)
-			return
-		}
+// serveObject probes residency without mutating the cache, fills a miss
+// from a ring sibling or the origin, and commits the request through the
+// decider only once the bytes are known good.
+func (p *Proxy) serveObject(w http.ResponseWriter, r *http.Request, req trace.Request) {
+	if p.decider.Lookup(req.ID) != cache.Miss {
+		p.commit(w, req)
+		return
 	}
 
 	// Deadline-aware shedding: a miss whose remaining client deadline cannot
@@ -602,66 +557,70 @@ func (p *Proxy) serveResilient(w http.ResponseWriter, r *http.Request, req trace
 	// the admit is journaled and the object becomes locally resident.
 	// (Requests carrying the probe header never reach this path, so a
 	// two-node cycle terminates after one hop.)
-	if p.peers != nil {
-		if p.fetchPeer(r.Context(), req.ID, req.Size) {
-			res := cache.Miss
-			if canProbe {
-				res = p.serve(req)
-			}
-			w.Header()[PeerHeader] = peerFillValue
-			setXCache(w.Header(), res)
-			p.serveLocal(w, res, req.Size)
-			p.rememberStale(req.ID, req.Size)
-			return
-		}
+	if p.peers != nil && p.fetchPeer(r.Context(), req.ID, req.Size) {
+		w.Header()[PeerHeader] = peerFillValue
+		p.commit(w, req)
+		return
 	}
 
 	err := p.fetchResilient(r.Context(), req.ID, req.Size)
 	if err == nil {
-		res := cache.Miss
-		if canProbe {
-			// Commit only now: the fetch succeeded, so the miss (and any
-			// admission) enters the decider's books. A coalesced peer may
-			// have admitted the object already, in which case Serve reports
-			// the hit it found.
-			res = p.serve(req)
-		}
-		setXCache(w.Header(), res)
-		p.serveLocal(w, res, req.Size)
-		p.rememberStale(req.ID, req.Size)
+		p.commit(w, req)
 		return
 	}
 
 	// Shed outcomes: an open breaker or an expired client deadline is not an
 	// origin failure to 502 on, it is load the overload layer refused — shed
 	// it (stale or 503+Retry-After) so the client backs off instead of
-	// retrying into the same wall.
-	if p.ov.Enabled {
-		switch {
-		case errors.Is(err, breaker.ErrOpen):
-			p.shed(w, req, "breaker")
-			return
-		case errors.Is(err, context.DeadlineExceeded):
-			p.stats.Add(req.ID, psDeadlineSheds, 1)
-			p.shed(w, req, "deadline")
-			return
-		}
+	// retrying into the same wall. Only the client's own deadline counts: a
+	// per-attempt FetchTimeout expiry also wraps DeadlineExceeded, but it is
+	// an origin failure.
+	switch {
+	case errors.Is(err, breaker.ErrOpen):
+		p.shed(w, req, "breaker")
+		return
+	case errors.Is(err, context.DeadlineExceeded) && deadlinePassed(r.Context()):
+		p.stats.Add(req.ID, psDeadlineSheds, 1)
+		p.shed(w, req, "deadline")
+		return
 	}
 
 	// Degraded mode: the origin is down and retries are exhausted. Serve the
 	// object stale if this proxy has ever served it, else surface the 502.
 	// The request is accounted as a proxy error, not as a cache admission.
-	if p.res.ServeStale {
-		if _, ok := p.staleHas(req.ID); ok {
-			p.stats.Add(req.ID, psStaleServes, 1)
-			w.Header()["X-Cache"] = xcacheStale
-			w.Header().Set("Warning", `110 darwin-proxy "response is stale"`)
-			p.serveLocal(w, cache.HOCHit, req.Size)
-			return
-		}
+	if p.serveStale(w, req) {
+		return
 	}
 	p.stats.Add(req.ID, psErrors, 1)
 	http.Error(w, fmt.Sprintf("server: origin unavailable: %v", err), http.StatusBadGateway)
+}
+
+// commit accounts a request whose bytes are in hand (resident, or just
+// fetched) through the decider and answers it. After a fetch a coalesced
+// peer may have admitted the object already, in which case Serve reports the
+// hit it found.
+func (p *Proxy) commit(w http.ResponseWriter, req trace.Request) {
+	res := p.decider.Serve(req)
+	setXCache(w.Header(), res)
+	p.serveLocal(w, res, req.Size)
+	p.rememberStale(req.ID, req.Size)
+}
+
+// serveStale answers req from the serve-stale store, reporting false when
+// degraded mode is off or the proxy has never served the object.
+func (p *Proxy) serveStale(w http.ResponseWriter, req trace.Request) bool {
+	if !p.res.ServeStale {
+		return false
+	}
+	if _, ok := p.staleHas(req.ID); !ok {
+		return false
+	}
+	p.stats.Add(req.ID, psStaleServes, 1)
+	h := w.Header()
+	h["X-Cache"] = xcacheStale
+	h.Set("Warning", `110 darwin-proxy "response is stale"`)
+	p.serveLocal(w, cache.HOCHit, req.Size)
+	return true
 }
 
 // rememberStale records a successfully served object for degraded mode.
@@ -693,22 +652,20 @@ func (p *Proxy) staleHas(id uint64) (int64, bool) {
 
 // fetchResilient fetches one object with coalescing and retries. Coalesced
 // fetches run under a detached context: their outcome is shared by every
-// waiter, so they must not die with the leader's client connection. Under
-// overload protection the detached fetch keeps the leader's *deadline* (but
-// not its cancellation), so a doomed shared fetch is still cut short, and
-// waiters stop waiting when their own deadline expires.
+// waiter, so they must not die with the leader's client connection. The
+// detached fetch keeps the leader's propagated *deadline* (but not its
+// cancellation), so a doomed shared fetch is still cut short, and waiters
+// stop waiting when their own deadline expires.
 func (p *Proxy) fetchResilient(ctx context.Context, id uint64, size int64) error {
 	if !p.res.Coalesce {
 		return p.fetchRetry(ctx, id, size)
 	}
 	err, shared := p.flights.do(ctx, flightKey{id: id, size: size}, func() error {
 		fctx := context.Background()
-		if p.ov.Enabled {
-			if dl, ok := ctx.Deadline(); ok {
-				dctx, cancel := context.WithDeadline(fctx, dl)
-				defer cancel()
-				fctx = dctx
-			}
+		if dl, ok := ctx.Deadline(); ok {
+			dctx, cancel := context.WithDeadline(fctx, dl)
+			defer cancel()
+			fctx = dctx
 		}
 		return p.fetchRetry(fctx, id, size)
 	})
@@ -719,11 +676,11 @@ func (p *Proxy) fetchResilient(ctx context.Context, id uint64, size int64) error
 }
 
 // fetchRetry runs up to MaxAttempts origin fetches with exponential backoff
-// and jitter between attempts. Under overload protection every attempt must
-// pass the circuit breaker (an open breaker fails the miss immediately with
-// ErrOpen) and every attempt beyond the first must win a token from the
-// rolling-window retry budget — the cap that keeps the backoff path from
-// probing a sick origin harder than the breaker's half-open budget.
+// and jitter between attempts. With a breaker every attempt must pass it (an
+// open breaker fails the miss immediately with ErrOpen), and with a retry
+// budget every attempt beyond the first must win a token from it — the cap
+// that keeps the backoff path from probing a sick origin harder than the
+// breaker's half-open budget.
 func (p *Proxy) fetchRetry(ctx context.Context, id uint64, size int64) error {
 	var lastErr error
 	for attempt := 0; attempt < p.res.MaxAttempts; attempt++ {
@@ -821,44 +778,4 @@ func (p *Proxy) fetchDiscard(ctx context.Context, id uint64, size int64) error {
 		return fmt.Errorf("server: origin body truncated: %d/%d bytes", n, size)
 	}
 	return nil
-}
-
-// fetchOriginStream streams the object from the origin to the client — the
-// legacy miss path. Origin response headers (Content-Length) are propagated
-// before the status line, so a truncated origin body surfaces to the client
-// as a short read instead of a silent short 200. headerSent tells the caller
-// whether a 502 can still be written.
-func (p *Proxy) fetchOriginStream(w http.ResponseWriter, r *http.Request, id uint64, size int64) (headerSent bool, err error) {
-	p.stats.Add(id, psOriginFetches, 1)
-	hreq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, originURL(p.OriginURL, id, size), nil)
-	if err != nil {
-		return false, fmt.Errorf("server: origin request: %w", err)
-	}
-	resp, err := p.Client.Do(hreq)
-	if err != nil {
-		return false, fmt.Errorf("server: origin fetch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.CopyN(io.Discard, resp.Body, 1<<10) // best-effort drain so the connection can be reused
-		return false, fmt.Errorf("server: origin status %d", resp.StatusCode)
-	}
-	h := w.Header()
-	setContentType(h)
-	if cl, ok := resp.Header["Content-Length"]; ok && len(cl) > 0 && cl[0] != "" {
-		h["Content-Length"] = cl
-	} else {
-		setContentLength(h, size)
-	}
-	w.WriteHeader(http.StatusOK)
-	// The relay is the one proxy path that must own bytes in flight: copy
-	// through a pooled buffer (ResponseWriters with a ReadFrom fast path
-	// still take it; the buffer then goes back unused but unharmed).
-	buf := getCopyBuf()
-	n, err := io.CopyBuffer(w, resp.Body, *buf)
-	putCopyBuf(buf)
-	if err != nil {
-		return true, fmt.Errorf("server: origin copy after %d/%d bytes: %w", n, size, err)
-	}
-	return true, nil
 }

@@ -25,7 +25,7 @@ func testbed(t *testing.T, e cache.Expert, originLatency, dcLatency time.Duratio
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := NewProxy(dec, originSrv.URL, dcLatency)
+	proxy := NewOverloadProxy(dec, originSrv.URL, dcLatency, Resilience{}, Overload{})
 	proxySrv := httptest.NewServer(proxy)
 	t.Cleanup(proxySrv.Close)
 	return originSrv, proxySrv, proxy
@@ -216,7 +216,7 @@ func TestProxyBadGatewayOnOriginFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := NewProxy(dec, "http://127.0.0.1:1", 0) // nothing listening
+	proxy := NewOverloadProxy(dec, "http://127.0.0.1:1", 0, Resilience{}, Overload{}) // nothing listening
 	srv := httptest.NewServer(proxy)
 	defer srv.Close()
 	resp, _ := get(t, srv.URL, 1, 100)

@@ -37,7 +37,7 @@ func TestShardedProxyStress(t *testing.T) {
 	injector := faults.New(faults.Config{Seed: 9, ErrorRate: 0.05, SpikeRate: 0.02, Spike: time.Millisecond})
 	originSrv := httptest.NewServer(injector.Wrap(origin))
 	defer originSrv.Close()
-	proxy := NewResilientProxy(dec, originSrv.URL, 0, fastResilience())
+	proxy := NewOverloadProxy(dec, originSrv.URL, 0, fastResilience(), Overload{})
 	proxySrv := httptest.NewServer(proxy)
 	defer proxySrv.Close()
 
