@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -70,4 +71,24 @@ func BenchmarkProxyHOCHit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFrontRelay measures one client → Front → Origin round trip per
+// op over loopback; B/op is the whole process's allocation per relayed
+// response, so a per-response copy buffer shows up as a size-dependent jump.
+func BenchmarkFrontRelay(b *testing.B) {
+	for _, size := range []int64{1 << 10, 16 << 10, 100 << 10} {
+		b.Run(strconv.FormatInt(size>>10, 10)+"KiB", func(b *testing.B) {
+			_, url, client := relayFront(b, &Origin{})
+			u := url + "/obj/1?size=" + strconv.FormatInt(size, 10)
+			b.ReportAllocs()
+			b.SetBytes(size)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := relayGet(client, u, size); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

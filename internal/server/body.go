@@ -14,8 +14,9 @@ import (
 // This file is the serving fast path's allocation discipline: the static
 // body chunk every response is written from (zero copies into per-request
 // buffers), a sync.Pool of owned buffers for the few paths that genuinely
-// need their own bytes (the front tier's backend relay, loadgen client
-// reads), pooled origin-URL builders, and pre-serialized hot response
+// need their own bytes (the front tier's backend relay, which copies
+// through one via relayBody, and loadgen client reads), pooled origin-URL
+// builders, and pre-serialized hot response
 // headers (X-Cache values and Content-Length strings for recently served
 // sizes). Together they make the hit-serving path — request parse → decider
 // → body written — 0 allocs/op above net/http's own internals; the
@@ -54,9 +55,9 @@ func writeBody(w io.Writer, size int64) error {
 const copyBufSize = 64 << 10
 
 // copyBufPool hands out 64 KiB buffers for paths that must own their bytes:
-// the front tier's backend relay (io.CopyBuffer when the ResponseWriter has
-// no ReadFrom fast path) and the load generator's per-worker body reads. The
-// pool is process-wide so an idle proxy holds no per-connection buffers.
+// the front tier's backend relay (relayBody) and the load generator's
+// per-worker body reads. The pool is process-wide so an idle proxy holds no
+// per-connection buffers.
 var copyBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, copyBufSize)
@@ -69,6 +70,40 @@ func getCopyBuf() *[]byte { return copyBufPool.Get().(*[]byte) }
 
 // putCopyBuf returns a buffer borrowed with getCopyBuf.
 func putCopyBuf(b *[]byte) { copyBufPool.Put(b) }
+
+// writerOnly exposes only Write, recording whether a write failed. The
+// point is what it hides: io.CopyBuffer hands the copy to a destination's
+// ReadFrom when it has one and ignores the buffer it was given, and an
+// http.ResponseWriter's ReadFrom, for a source that is neither a file nor a
+// TCP connection (a backend response body), allocates a fresh 32 KiB buffer
+// per call.
+type writerOnly struct {
+	w      io.Writer
+	failed bool
+}
+
+func (o *writerOnly) Write(p []byte) (int, error) {
+	n, err := o.w.Write(p)
+	if err != nil || n < len(p) {
+		o.failed = true
+	}
+	return n, err
+}
+
+// relayBody copies src to dst through a pooled 64 KiB buffer and returns the
+// source's error (a backend that died mid-body). A failed write (a client
+// that hung up) ends the copy but is not returned: it says nothing about the
+// source.
+func relayBody(dst io.Writer, src io.Reader) (readErr error) {
+	buf := getCopyBuf()
+	wo := writerOnly{w: dst}
+	_, err := io.CopyBuffer(&wo, src, *buf)
+	putCopyBuf(buf)
+	if wo.failed {
+		return nil
+	}
+	return err
+}
 
 // urlBufPool pools the byte builders behind originURL so miss-path URL
 // construction costs one string allocation (the URL itself), not a fmt state

@@ -21,7 +21,8 @@ package server
 //
 // The routing step (pick) is serialized under one mutex — the ring's window
 // state is deliberately single-writer — and is allocation-free, a darwinlint
-// hotpath root. Relaying streams through the shared pooled copy buffers.
+// hotpath root. Relaying streams through the shared pooled copy buffers
+// (relayBody).
 
 import (
 	"bytes"
@@ -215,10 +216,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	f.ring = ring
 	f.client = cfg.Client
 	if f.client == nil {
-		f.client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 256,
-			DisableCompression:  true,
-		}}
+		f.client = &http.Client{Transport: pooledTransport(defaultIdleConns)}
 	}
 	return f, nil
 }
@@ -483,7 +481,9 @@ func (f *Front) MembershipStatus(backend int) string {
 // over to the next distinct ring candidate (at most Attempts), recording
 // each outcome in the backend's breaker. An HTTP response of any status is
 // relayed — a 502 or shed 503 from a live backend is an answer, not a
-// routing failure.
+// routing failure. A response whose backend body breaks off mid-stream is
+// aborted with http.ErrAbortHandler, which net/http's server turns into a
+// closed connection.
 func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	id, size, err := parseObjectURL(r)
 	if err != nil {
@@ -526,8 +526,14 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			f.stats.Add(id, fsFailovers, 1)
 		}
 		tried++
-		if f.relay(w, r, node, id, size) {
+		if started, cut := f.relay(w, r, node, id, size); started {
 			f.stats.Add(id, fsRelayed, 1)
+			if cut {
+				// The status line is already out: only a dropped connection
+				// stops a short body passing for a whole one (a chunked
+				// response would otherwise end cleanly).
+				panic(http.ErrAbortHandler)
+			}
 			return
 		}
 	}
@@ -536,14 +542,21 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // relay forwards the request to one backend and, if the backend answers
-// HTTP at all, streams the response to the client. Returns false only on
+// HTTP at all, streams the response to the client. started is false only on
 // transport-level failure (connection refused/reset, deadline), in which
-// case nothing has been written and the caller may fail over.
-func (f *Front) relay(w http.ResponseWriter, r *http.Request, node int, id uint64, size int64) bool {
+// case nothing has been written and the caller may fail over; cut reports a
+// started response whose backend body failed before its end.
+//
+// The breaker outcome is recorded after the body copy, so a backend that
+// answers a clean status line and then truncates is charged like one that
+// refuses. A failed client write (the client hung up) and a backend request
+// cancelled with the client's say nothing about the backend and record as
+// healthy — the rule peer probes apply to client cancellation.
+func (f *Front) relay(w http.ResponseWriter, r *http.Request, node int, id uint64, size int64) (started, cut bool) {
 	hreq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, originURL(f.nodes[node], id, size), nil)
 	if err != nil {
 		f.brks[node].Record(false)
-		return false
+		return false, false
 	}
 	// Propagate the client's deadline advertisement so backend deadline
 	// shedding still works behind the front tier.
@@ -552,14 +565,10 @@ func (f *Front) relay(w http.ResponseWriter, r *http.Request, node int, id uint6
 	}
 	resp, err := f.client.Do(hreq)
 	if err != nil {
-		f.brks[node].Record(false)
-		return false
+		f.brks[node].Record(r.Context().Err() != nil)
+		return false, false
 	}
 	defer resp.Body.Close()
-	// Any HTTP answer means the backend is alive: a 502 is the shared
-	// origin's trouble and a shed 503 is deliberate — neither should charge
-	// this backend's breaker. Only a 500 (the backend itself broke) does.
-	f.brks[node].Record(resp.StatusCode != http.StatusInternalServerError)
 
 	h := w.Header()
 	for _, key := range relayHeaders {
@@ -568,10 +577,14 @@ func (f *Front) relay(w http.ResponseWriter, r *http.Request, node int, id uint6
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	buf := getCopyBuf()
-	_, _ = io.CopyBuffer(w, resp.Body, *buf) // client went away; nothing useful to do with the error
-	putCopyBuf(buf)
-	return true
+	cut = relayBody(w, resp.Body) != nil
+	// Any complete HTTP answer means the backend is alive: a 502 is the
+	// shared origin's trouble and a shed 503 is deliberate — neither should
+	// charge this backend's breaker. A 500 (the backend itself broke) and a
+	// body the backend cut off mid-stream do.
+	f.brks[node].Record(resp.StatusCode != http.StatusInternalServerError &&
+		(!cut || r.Context().Err() != nil))
+	return true, cut
 }
 
 // relayHeaders are the backend response headers the front tier propagates to

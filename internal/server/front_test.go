@@ -2,11 +2,16 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"darwin/internal/baselines"
+	"darwin/internal/breaker"
 	"darwin/internal/cache"
 	"darwin/internal/lb"
 )
@@ -160,4 +165,139 @@ func TestFrontReplicatesHotObject(t *testing.T) {
 	if len(servers) < 2 {
 		t.Fatalf("replicated hot object stayed on %d server(s)", len(servers))
 	}
+}
+
+// relayFront serves a Front over one backend and returns it with the front's
+// URL and a client of its own.
+func relayFront(tb testing.TB, backend http.Handler) (*Front, string, *http.Client) {
+	tb.Helper()
+	bsrv := httptest.NewServer(backend)
+	tb.Cleanup(bsrv.Close)
+	f, err := NewFront(FrontConfig{Backends: []string{bsrv.URL}, DisableGossip: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fsrv := httptest.NewServer(f)
+	tb.Cleanup(fsrv.Close)
+	tport := &http.Transport{}
+	tb.Cleanup(tport.CloseIdleConnections)
+	return f, fsrv.URL, &http.Client{Transport: tport}
+}
+
+// relayGet fetches url and reads the whole body; a non-200 status, a body
+// error or a body of other than size bytes is an error.
+func relayGet(c *http.Client, url string, size int64) error {
+	resp, err := c.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	n, err := io.Copy(io.Discard, resp.Body)
+	if err != nil {
+		return fmt.Errorf("body after %d bytes: %w", n, err)
+	}
+	if resp.StatusCode != http.StatusOK || n != size {
+		return fmt.Errorf("status %d, %d/%d bytes", resp.StatusCode, n, size)
+	}
+	return nil
+}
+
+// truncatingBackend starts a 10000-byte answer — declared by Content-Length,
+// or chunked — sends 100 bytes of it and aborts the connection.
+func truncatingBackend(chunked bool) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !chunked {
+			w.Header().Set("Content-Length", "10000")
+		}
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(pattern[:100])
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	})
+}
+
+// TestFrontRelayBudget pins the relay's copy: a body is copied through the
+// pooled buffer, so relaying 100 KiB allocates no more than relaying 200 B
+// (a per-response copy buffer would cost 32 KiB more), and a backend body
+// cut off mid-stream never reaches the client as a complete response.
+func TestFrontRelayBudget(t *testing.T) {
+	t.Run("alloc", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("allocation budgets do not hold under -race")
+		}
+		_, url, client := relayFront(t, &Origin{})
+		perRequest := func(size int64) float64 {
+			u := url + "/obj/1?size=" + strconv.FormatInt(size, 10)
+			const warm, n = 20, 500
+			var before, after runtime.MemStats
+			for i := 0; i < warm+n; i++ {
+				if i == warm {
+					runtime.ReadMemStats(&before)
+				}
+				if err := relayGet(client, u, size); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / n
+		}
+		small, large := perRequest(200), perRequest(100<<10)
+		t.Logf("relay allocation: 200 B body %.0f B/req, 100 KiB body %.0f B/req", small, large)
+		if d := large - small; d >= 4<<10 {
+			t.Errorf("relaying 100 KiB allocates %.0f B/req, 200 B %.0f B/req: %.0f B more, want < 4096",
+				large, small, d)
+		}
+	})
+	for _, chunked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("truncated/chunked=%v", chunked), func(t *testing.T) {
+			_, url, client := relayFront(t, truncatingBackend(chunked))
+			for i := 0; i < 3; i++ {
+				resp, err := client.Get(url + "/obj/1?size=10000")
+				if err != nil {
+					continue // cut before the status line: not complete either
+				}
+				n, err := io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err == nil {
+					t.Fatalf("request %d: truncated backend body reached the client complete (%d bytes)", i, n)
+				}
+			}
+		})
+	}
+}
+
+// TestFrontBreakerChargesTruncatedBody: a backend that answers a clean status
+// line and then cuts every body short opens its breaker like one that
+// refuses connections, while clients hanging up mid-body never charge it.
+func TestFrontBreakerChargesTruncatedBody(t *testing.T) {
+	t.Run("backend-cut", func(t *testing.T) {
+		f, url, client := relayFront(t, truncatingBackend(false))
+		for i := 0; i < 20; i++ {
+			if err := relayGet(client, url+"/obj/1?size=10000", 10000); err == nil {
+				t.Fatalf("request %d: complete response from a truncating backend", i)
+			}
+		}
+		if st := f.brks[0].State(); st != breaker.Open {
+			t.Fatalf("breaker %v after 20 truncated bodies, want open", st)
+		}
+		if st := f.Stats(); st.BreakerRejects == 0 || st.Relayed == 20 {
+			t.Fatalf("stats %+v: the open breaker never stopped a relay", st)
+		}
+	})
+	t.Run("client-hangup", func(t *testing.T) {
+		f, url, client := relayFront(t, &Origin{})
+		for i := 0; i < 20; i++ {
+			resp, err := client.Get(url + "/obj/1?size=" + strconv.Itoa(8<<20))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.CopyN(io.Discard, resp.Body, 1000); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close() // hang up mid-body
+		}
+		if st := f.brks[0].State(); st != breaker.Closed {
+			t.Fatalf("breaker %v after client hang-ups, want closed", st)
+		}
+	})
 }

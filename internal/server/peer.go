@@ -66,7 +66,8 @@ type PeerConfig struct {
 	// Breaker configures the per-sibling circuit breaker; zero means
 	// DefaultPeerBreaker.
 	Breaker breaker.Config
-	// Client issues probes; nil builds one with the probe timeout.
+	// Client issues probes; nil builds one with the probe timeout over the
+	// proxy's connection pool.
 	Client *http.Client
 	// Replication configures the local hot-object tracker that approximates
 	// the front tier's placement (zero = defaults). fetchPeer probes only an
@@ -177,7 +178,7 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Timeout: cfg.FetchTimeout}
+		client = &http.Client{Timeout: cfg.FetchTimeout, Transport: p.transport}
 	}
 	var memb *gossip.Membership
 	if !cfg.DisableGossip {

@@ -360,6 +360,9 @@ type Proxy struct {
 	DCLatency time.Duration
 	// Client issues origin fetches.
 	Client *http.Client
+	// transport is the proxy's one connection pool, shared by the default
+	// origin, peer-probe and state-handoff clients.
+	transport *http.Transport
 
 	res     Resilience
 	flights flightGroup
@@ -399,6 +402,17 @@ type Proxy struct {
 	start time.Time
 }
 
+// defaultIdleConns is the idle connections kept per upstream host when no
+// in-flight bound sizes the pool.
+const defaultIdleConns = 256
+
+// pooledTransport returns a connection pool keeping up to idle connections
+// per upstream host. Compression is off: object bodies are opaque bytes whose
+// Content-Length the proxy checks and the front relays as sent.
+func pooledTransport(idle int) *http.Transport {
+	return &http.Transport{MaxIdleConnsPerHost: idle, DisableCompression: true}
+}
+
 // NewOverloadProxy builds a proxy around decider running the one data plane
 // (see the package doc) with the stages res and ov switch on.
 func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration, res Resilience, ov Overload) *Proxy {
@@ -410,11 +424,20 @@ func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration
 		// mutex.
 		dec = &serializedDecider{dec: decider}
 	}
+	// Keep one idle connection per request the proxy may have in flight:
+	// net/http's default of 2 per host makes every burst of concurrent
+	// misses redial the origin.
+	idle := int(ov.MaxInFlight)
+	if idle <= 0 {
+		idle = defaultIdleConns
+	}
+	tport := pooledTransport(idle)
 	p := &Proxy{
 		decider:   dec,
 		OriginURL: originURL,
 		DCLatency: dcLatency,
-		Client:    &http.Client{Timeout: 30 * time.Second},
+		Client:    &http.Client{Timeout: 30 * time.Second, Transport: tport},
+		transport: tport,
 		res:       res,
 		ov:        ov,
 		rng:       rand.New(rand.NewSource(res.Seed)),

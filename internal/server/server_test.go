@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,5 +225,74 @@ func TestProxyBadGatewayOnOriginFailure(t *testing.T) {
 	resp, _ := get(t, srv.URL, 1, 100)
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("status = %d, want 502", resp.StatusCode)
+	}
+}
+
+// TestProxyPoolsOriginConnections: the proxy keeps its connections to the
+// origin, so a second burst of concurrent misses reuses the first burst's
+// instead of redialing (net/http's default pool keeps 2 per host), and the
+// default peer-probe client shares that pool.
+func TestProxyPoolsOriginConnections(t *testing.T) {
+	const burst = 16
+	var (
+		dials   atomic.Int64
+		holding atomic.Bool
+		gate    sync.WaitGroup
+	)
+	// The first burst's fetches are held at the origin until all of them
+	// are in flight, so it opens exactly one connection per miss.
+	holding.Store(true)
+	gate.Add(burst)
+	origin := &Origin{}
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if holding.Load() {
+			gate.Done()
+			gate.Wait()
+		}
+		origin.ServeHTTP(w, r)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	dec, err := baselines.NewStatic(cache.Expert{Freq: 1, MaxSize: 1 << 20},
+		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewOverloadProxy(dec, srv.URL, 0, Resilience{}, Overload{})
+	round := func(firstID int) int64 {
+		before := dials.Load()
+		var wg sync.WaitGroup
+		for i := 0; i < burst; i++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				w := httptest.NewRecorder()
+				p.ServeHTTP(w, httptest.NewRequest("GET", fmt.Sprintf("/obj/%d?size=1000", id), nil))
+				if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "miss" {
+					t.Errorf("object %d: status %d, X-Cache %q", id, w.Code, w.Header().Get("X-Cache"))
+				}
+			}(firstID + i)
+		}
+		wg.Wait()
+		return dials.Load() - before
+	}
+	if n := round(0); n != burst {
+		t.Fatalf("first burst dialed %d connections, want %d", n, burst)
+	}
+	holding.Store(false)
+	if n := round(1000); n != 0 {
+		t.Fatalf("second burst dialed %d new connections, want 0", n)
+	}
+
+	if err := p.SetPeers(PeerConfig{Self: "http://a", Nodes: []string{"http://a", "http://b"}}); err != nil {
+		t.Fatal(err)
+	}
+	if p.peers.client.Transport != p.Client.Transport {
+		t.Fatal("default peer client does not share the proxy's connection pool")
 	}
 }

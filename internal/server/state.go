@@ -114,7 +114,7 @@ func (p *Proxy) PushStateToSuccessor(ctx context.Context, client *http.Client) (
 	if client == nil {
 		// Not the probe client: a state frame is far larger than a probe and
 		// deserves the context's deadline, not the 150 ms probe timeout.
-		client = &http.Client{}
+		client = &http.Client{Transport: p.transport}
 	}
 	resp, err := client.Do(hreq)
 	if err != nil {
